@@ -645,83 +645,6 @@ let perf_speedup ~files ~jobs_mode ~jobs_list =
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   curve
 
-(* Intra-file fragment parallelism: one large translation unit timed
-   sequentially and with speculative fragment workers, plus the
-   speculation ledger (speculated / committed / revalidated) of an
-   instrumented parallel run.  The corpus is all pure fragments behind
-   one definition barrier, so the abort rate measures validation
-   overhead, not crafted conflicts. *)
-let perf_fragments ~cpus ~fragments ~jobs_list =
-  let file = Filename.temp_file "ms2frag" ".mc" in
-  let oc = open_out file in
-  output_string oc (Workloads.fragment_corpus fragments);
-  close_out oc;
-  let ms2c = ms2c_path () in
-  let time_one jobs =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let code =
-        Sys.command
-          (Printf.sprintf "%s expand --fragment-jobs %d %s > /dev/null 2>&1"
-             ms2c jobs file)
-      in
-      if code <> 0 then failwith "fragment corpus failed to expand";
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  (* a single-core machine can only show scheduling overhead, so the
-     speedup curve is skipped there (same gate as the multi-file
-     curve); the speculation ledger is still collected — the engine
-     runs the full speculative pipeline regardless of core count *)
-  let curve =
-    if cpus < 2 then None
-    else Some (List.map (fun j -> (j, time_one j)) jobs_list)
-  in
-  let err = Filename.temp_file "ms2frag" ".err" in
-  let code =
-    Sys.command
-      (Printf.sprintf
-         "%s expand --fragment-jobs %d --stats --stats-format=json %s \
-          > /dev/null 2> %s"
-         ms2c
-         (List.fold_left max 2 jobs_list)
-         file err)
-  in
-  if code <> 0 then failwith "fragment stats run failed";
-  let ic = open_in_bin err in
-  let stats =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Sys.remove err;
-  Sys.remove file;
-  let metric name =
-    let key = Printf.sprintf "\"%s\": " name in
-    let kl = String.length key and m = String.length stats in
-    let rec find i =
-      if i + kl > m then
-        failwith (Printf.sprintf "fragment stats: %s not reported" name)
-      else if String.sub stats i kl = key then i + kl
-      else find (i + 1)
-    in
-    let i = find 0 in
-    let j = ref i in
-    while
-      !j < m && (match stats.[!j] with '0' .. '9' -> true | _ -> false)
-    do
-      incr j
-    done;
-    int_of_string (String.sub stats i (!j - i))
-  in
-  ( curve,
-    metric "fragments.speculated",
-    metric "fragments.committed",
-    metric "fragments.revalidated" )
-
 let run_perf () =
   let hot = measure_tests (perf_hot_tests ()) in
   print_estimates "perf: hot paths (interning, memoized fingerprint, cache)"
@@ -779,36 +702,6 @@ let run_perf () =
       Some (curve, t1)
     end
   in
-  let frag_count = 500 in
-  rule
-    (Printf.sprintf
-       "Derived: intra-file fragment speedup, %d-fragment unit \
-        (--fragment-jobs)"
-       frag_count);
-  let frag_curve, frag_spec, frag_committed, frag_revalidated =
-    perf_fragments ~cpus ~fragments:frag_count ~jobs_list:[ 1; 2; 4 ]
-  in
-  let frag_abort_rate =
-    if frag_spec = 0 then 0.
-    else 100. *. float_of_int frag_revalidated /. float_of_int frag_spec
-  in
-  (match frag_curve with
-  | None ->
-      Printf.printf
-        "  speedup skipped: %d CPU — a parallel speedup cannot be observed \
-         here\n"
-        cpus
-  | Some curve ->
-      let t1 = List.assoc 1 curve in
-      List.iter
-        (fun (j, t) ->
-          Printf.printf "  --fragment-jobs %d   %7.1f ms   %.2fx\n" j
-            (t *. 1000.) (t1 /. t))
-        curve);
-  Printf.printf
-    "  speculation: %d speculated, %d committed, %d revalidated \
-     (%.1f%% abort rate)\n"
-    frag_spec frag_committed frag_revalidated frag_abort_rate;
   (* machine-readable record *)
   let oc = open_tracker "BENCH_PERF.json" in
   Printf.fprintf oc "{\n  \"quota_s\": %g,\n  \"cpus\": %d,\n" quota cpus;
@@ -830,7 +723,7 @@ let run_perf () =
   | None ->
       Printf.fprintf oc "  \"parallel_speedup\": \"skipped\",\n";
       Printf.fprintf oc
-        "  \"parallel_speedup_skip_reason\": \"machine has %d cpu\",\n" cpus
+        "  \"parallel_speedup_skip_reason\": \"machine has %d cpu\"\n" cpus
   | Some (curve, t1) ->
       Printf.fprintf oc "  \"parallel_speedup\": [\n";
       let n_curve = List.length curve in
@@ -841,33 +734,7 @@ let run_perf () =
             (t *. 1000.) (t1 /. t)
             (if i = n_curve - 1 then "" else ","))
         curve;
-      Printf.fprintf oc "  ],\n");
-  Printf.fprintf oc "  \"fragments\": {\n";
-  Printf.fprintf oc "    \"fragment_count\": %d,\n" frag_count;
-  Printf.fprintf oc
-    "    \"speculated\": %d,\n    \"committed\": %d,\n    \
-     \"revalidated\": %d,\n"
-    frag_spec frag_committed frag_revalidated;
-  Printf.fprintf oc "    \"abort_rate_percent\": %.2f,\n" frag_abort_rate;
-  (match frag_curve with
-  | None ->
-      Printf.fprintf oc "    \"speedup\": \"skipped\",\n";
-      Printf.fprintf oc
-        "    \"speedup_skip_reason\": \"machine has %d cpu\"\n" cpus
-  | Some curve ->
-      let t1 = List.assoc 1 curve in
-      Printf.fprintf oc "    \"speedup\": [\n";
-      let n_curve = List.length curve in
-      List.iteri
-        (fun i (j, t) ->
-          Printf.fprintf oc
-            "      {\"fragment_jobs\": %d, \"wall_ms\": %.1f, \"speedup\": \
-             %.2f}%s\n"
-            j (t *. 1000.) (t1 /. t)
-            (if i = n_curve - 1 then "" else ","))
-        curve;
-      Printf.fprintf oc "    ]\n");
-  Printf.fprintf oc "  }\n";
+      Printf.fprintf oc "  ]\n");
   Printf.fprintf oc "}\n";
   close_tracker "BENCH_PERF.json" oc;
   Printf.printf "\n  (written to BENCH_PERF.json)\n"

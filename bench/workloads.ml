@@ -214,24 +214,3 @@ let expanded_form src =
   match Ms2.Api.expand_string src with
   | Ok out -> out
   | Error e -> failwith ("workload does not expand: " ^ e)
-
-(** [fragment_corpus n] — an [n]-fragment translation unit for the
-    intra-file fragment-parallelism benchmark: the [myenum] definition
-    (a barrier fragment) followed by [n] ten-constant [myenum]
-    declarations, each a pure top-level fragment whose expansion runs
-    the meta interpreter (two [map]s, [symbolconc], [pstring] per
-    declaration) — about a millisecond of real per-fragment work, so
-    speculative workers dominate the pre-scan and commit walk rather
-    than process startup. *)
-let fragment_corpus n =
-  let b = Buffer.create (n * 120) in
-  Buffer.add_string b myenum_defs;
-  for i = 0 to n - 1 do
-    Buffer.add_string b (Printf.sprintf "myenum col%d { " i);
-    for j = 0 to 9 do
-      if j > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "e%d_%d" i j)
-    done;
-    Buffer.add_string b " };\n"
-  done;
-  Buffer.contents b

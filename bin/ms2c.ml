@@ -103,14 +103,6 @@ let zero_stats : Ms2.Api.stats =
     cache_bypass_failpoints = 0;
     cache_bypass_uncacheable = 0;
     cache_bypass_budget = 0;
-    fragments_speculated = 0;
-    fragments_committed = 0;
-    fragments_revalidated = 0;
-    fragments_abort_defs_bump = 0;
-    fragments_abort_gensym_mint = 0;
-    fragments_abort_meta_decl = 0;
-    fragments_abort_stale_read = 0;
-    fragments_abort_foreign_closure = 0;
     pattern_memo_hits = 0;
     pattern_memo_misses = 0;
     firstset_memo_hits = 0;
@@ -138,27 +130,6 @@ let sum_stats (a : Ms2.Api.stats) (b : Ms2.Api.stats) : Ms2.Api.stats =
       a.Ms2.Api.cache_bypass_uncacheable + b.Ms2.Api.cache_bypass_uncacheable;
     cache_bypass_budget =
       a.Ms2.Api.cache_bypass_budget + b.Ms2.Api.cache_bypass_budget;
-    fragments_speculated =
-      a.Ms2.Api.fragments_speculated + b.Ms2.Api.fragments_speculated;
-    fragments_committed =
-      a.Ms2.Api.fragments_committed + b.Ms2.Api.fragments_committed;
-    fragments_revalidated =
-      a.Ms2.Api.fragments_revalidated + b.Ms2.Api.fragments_revalidated;
-    fragments_abort_defs_bump =
-      a.Ms2.Api.fragments_abort_defs_bump
-      + b.Ms2.Api.fragments_abort_defs_bump;
-    fragments_abort_gensym_mint =
-      a.Ms2.Api.fragments_abort_gensym_mint
-      + b.Ms2.Api.fragments_abort_gensym_mint;
-    fragments_abort_meta_decl =
-      a.Ms2.Api.fragments_abort_meta_decl
-      + b.Ms2.Api.fragments_abort_meta_decl;
-    fragments_abort_stale_read =
-      a.Ms2.Api.fragments_abort_stale_read
-      + b.Ms2.Api.fragments_abort_stale_read;
-    fragments_abort_foreign_closure =
-      a.Ms2.Api.fragments_abort_foreign_closure
-      + b.Ms2.Api.fragments_abort_foreign_closure;
     (* the memo counters are process-global snapshots, not per-engine
        deltas: summing them would double-count, so merge by max (in the
        fork driver each child reports its own process's totals — max is
@@ -193,15 +164,6 @@ let stats_to_registry (s : Ms2.Api.stats) =
   set "cache.bypass.failpoints" s.Ms2.Api.cache_bypass_failpoints;
   set "cache.bypass.uncacheable" s.Ms2.Api.cache_bypass_uncacheable;
   set "cache.bypass.budget" s.Ms2.Api.cache_bypass_budget;
-  set "fragments.speculated" s.Ms2.Api.fragments_speculated;
-  set "fragments.committed" s.Ms2.Api.fragments_committed;
-  set "fragments.revalidated" s.Ms2.Api.fragments_revalidated;
-  set "fragments.abort.defs_bump" s.Ms2.Api.fragments_abort_defs_bump;
-  set "fragments.abort.gensym_mint" s.Ms2.Api.fragments_abort_gensym_mint;
-  set "fragments.abort.meta_decl" s.Ms2.Api.fragments_abort_meta_decl;
-  set "fragments.abort.stale_read" s.Ms2.Api.fragments_abort_stale_read;
-  set "fragments.abort.foreign_closure"
-    s.Ms2.Api.fragments_abort_foreign_closure;
   set "parser.pattern_memo.hits" s.Ms2.Api.pattern_memo_hits;
   set "parser.pattern_memo.misses" s.Ms2.Api.pattern_memo_misses;
   set "pattern.firstset.memo_hits" s.Ms2.Api.firstset_memo_hits;
@@ -248,28 +210,6 @@ let print_stats ?(format = Stats_text) ?jobs (s : Ms2.Api.stats) =
            state %d, drained budget %d\n"
           s.Ms2.Api.cache_bypass_trace s.Ms2.Api.cache_bypass_failpoints
           s.Ms2.Api.cache_bypass_uncacheable s.Ms2.Api.cache_bypass_budget;
-      if s.Ms2.Api.fragments_speculated > 0 then begin
-        Printf.eprintf
-          "fragments speculated: %d (committed %d, revalidated %d)\n"
-          s.Ms2.Api.fragments_speculated s.Ms2.Api.fragments_committed
-          s.Ms2.Api.fragments_revalidated;
-        let aborts =
-          s.Ms2.Api.fragments_abort_defs_bump
-          + s.Ms2.Api.fragments_abort_gensym_mint
-          + s.Ms2.Api.fragments_abort_meta_decl
-          + s.Ms2.Api.fragments_abort_stale_read
-          + s.Ms2.Api.fragments_abort_foreign_closure
-        in
-        if aborts > 0 then
-          Printf.eprintf
-            "  aborted for: defs bump %d, gensym mint %d, meta decl %d, \
-             stale read %d, foreign closure %d\n"
-            s.Ms2.Api.fragments_abort_defs_bump
-            s.Ms2.Api.fragments_abort_gensym_mint
-            s.Ms2.Api.fragments_abort_meta_decl
-            s.Ms2.Api.fragments_abort_stale_read
-            s.Ms2.Api.fragments_abort_foreign_closure
-      end;
       Printf.eprintf
         "pattern memo: %d hits, %d misses; FIRST-set memo: %d hits, %d \
          misses\n"
@@ -533,18 +473,12 @@ let jobs_arg =
              recommended domain count.  Output and diagnostics are \
              emitted in input order either way.")
 
+(* Still parsed so existing command lines keep working; it selects
+   nothing, and cmdliner prints the deprecation warning. *)
 let fragment_jobs_arg =
   Arg.(value & opt jobs_conv 1 & info [ "fragment-jobs" ] ~docv:"N"
-       ~doc:"Expand top-level fragments $(i,within) each file on \
-             $(docv) parallel domains: definition-bearing fragments are \
-             sequential barriers, runs of pure-invocation fragments \
-             between them expand speculatively and commit in order, so \
-             output and diagnostics stay byte-identical to sequential \
-             expansion.  The default 1 disables it.  $(b,0) or \
-             $(b,auto) resolves to the recommended domain count divided \
-             by the resolved $(b,--jobs) value (the two compose by \
-             splitting the domain budget).  Files with few fragments, \
-             and $(b,--trace) runs, fall back to sequential expansion.")
+       ~deprecated:"deprecated and ignored; every file expands sequentially"
+       ~doc:"Deprecated and ignored.")
 
 let jobs_mode_arg =
   Arg.(value
@@ -682,15 +616,15 @@ let save_cache_file (store : Ms2.Api.shared_cache) (path : string) :
    it, each file is an isolated transaction: a fatal failure is reported
    immediately, the engine's rollback discards whatever the bad file had
    half-registered, and the remaining files still expand (exit 3). *)
-let expand_fragments ?(fragment_jobs = 1) ~engine ~keep_going ~diag_format
-    fragments : Ms2_syntax.Ast.program * bool =
+let expand_fragments ~engine ~keep_going ~diag_format fragments :
+    Ms2_syntax.Ast.program * bool =
   let failed = ref false in
   let prog =
     List.concat_map
       (fun (source, text) ->
         match
           Diag.protect (fun () ->
-              Ms2.Engine.expand_source engine ~source ~fragment_jobs text)
+              Ms2.Engine.expand_source engine ~source text)
         with
         | Ok decls -> decls
         | Error d when keep_going ->
@@ -717,7 +651,7 @@ let count_newlines s =
    {!worker_result}.  Everything user-visible is reassembled in input
    order, so both modes are byte-identical to each other and to
    [--jobs 1] on self-contained files. *)
-let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
+let expand_parallel ~jobs ~jobs_mode ~limits ~keep_going
     ~hygienic ~prelude ~cache ~line_directives ~sourcemap ~semantic_check
     ~stats ~stats_format ~trace_out ~metrics ~output ~diag_format ~journal
     ~resume ~cache_file fragments =
@@ -855,7 +789,7 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
     in
     match
       Diag.protect (fun () ->
-          Ms2.Engine.expand_source engine ~source ~fragment_jobs text)
+          Ms2.Engine.expand_source engine ~source text)
     with
     | Ok decls ->
         let recovered = Ms2.Api.diagnostics engine in
@@ -1095,7 +1029,7 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
 
 let expand_cmd =
   let run files output stats stats_format hygienic semantic_check prelude
-      trace trace_out metrics jobs fragment_jobs jobs_mode no_cache fuel
+      trace trace_out metrics jobs _fragment_jobs jobs_mode no_cache fuel
       invocation_fuel max_nodes max_errors timeout_ms invocation_timeout_ms
       failpoints keep_going line_directives sourcemap journal resume
       cache_file diag_format =
@@ -1113,12 +1047,6 @@ let expand_cmd =
     end;
     (* [--jobs 0] / [--jobs auto]: one worker per recommended domain *)
     let jobs = if jobs = 0 then Pool.recommended () else jobs in
-    (* [--fragment-jobs auto] splits the domain budget with --jobs: N
-       files in flight, each expanding on recommended/N domains *)
-    let fragment_jobs =
-      if fragment_jobs = 0 then max 1 (Pool.recommended () / max 1 jobs)
-      else fragment_jobs
-    in
     with_fragments ~diag_format files (fun fragments ->
         let limits =
           limits_of ~fuel ~invocation_fuel ~max_nodes ~max_errors
@@ -1132,7 +1060,7 @@ let expand_cmd =
         if journal <> None
            || (jobs > 1 && List.length fragments > 1 && not trace)
         then
-          expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
+          expand_parallel ~jobs ~jobs_mode ~limits ~keep_going
             ~hygienic ~prelude ~cache:(not no_cache) ~line_directives
             ~sourcemap ~semantic_check ~stats ~stats_format ~trace_out
             ~metrics ~output ~diag_format ~journal ~resume ~cache_file
@@ -1155,8 +1083,7 @@ let expand_cmd =
           if trace then
             engine.Ms2.Engine.trace <- Some Format.err_formatter;
           let prog, failed =
-            expand_fragments ~fragment_jobs ~engine ~keep_going ~diag_format
-              fragments
+            expand_fragments ~engine ~keep_going ~diag_format fragments
           in
           let recovered = Ms2.Api.diagnostics engine in
           emit_diags diag_format recovered;

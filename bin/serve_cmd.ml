@@ -59,10 +59,10 @@
       every ring to [--flight-dir] as one [ms2-flight-1] file and are
       remembered for the [health] admin method;
     - [health] and [metrics] admin methods serve the live state: RED
-      per-method counters/latency histograms plus engine/cache/
-      speculation counters, as [ms2-metrics-1] JSON; [--prometheus
-      FILE] additionally exports the registry in Prometheus text
-      format about once a second (atomic writes);
+      per-method counters/latency histograms plus engine/cache
+      counters, as [ms2-metrics-1] JSON; [--prometheus FILE]
+      additionally exports the registry in Prometheus text format
+      about once a second (atomic writes);
     - [ms2c top] polls [health]/[metrics] into a terminal dashboard. *)
 
 open Cmdliner
@@ -175,11 +175,6 @@ type state = {
   max_sessions : int;
   session_idle_ms : int;
   max_request_bytes : int;
-  fragment_jobs : int;
-      (** resolved [--fragment-jobs]: intra-request fragment parallelism
-          for large translation units (1 = off); requests below the
-          engine's fragment-count threshold expand sequentially either
-          way *)
   mutable conns : conn list;
   listen_fd : Unix.file_descr option;
   socket_path : string option;
@@ -555,9 +550,8 @@ let run_job (st : state) (sh : shard) (j : job) : unit =
   let loc = file_start_loc req.Proto.rq_source in
   let t0 = Unix.gettimeofday () in
   (* the domain's trace context covers the whole request: every span
-     and instant the engine records below — cache lookups, fragment
-     speculation (propagated into pool domains), transactions — is
-     stamped with this request's id *)
+     and instant the engine records below — cache lookups, lex, parse,
+     expansion, transactions — is stamped with this request's id *)
   Obs.set_trace (Some trace);
   Fun.protect ~finally:(fun () -> Obs.set_trace None) @@ fun () ->
   Obs.with_span ~cat:"serve"
@@ -598,7 +592,6 @@ let run_job (st : state) (sh : shard) (j : job) : unit =
           Diag.protect (fun () ->
               Failpoint.hit ~loc "serve/expand";
               Session.expand ss ?deadline_ms:remaining_ms
-                ~fragment_jobs:st.fragment_jobs
                 ~source:req.Proto.rq_source req.Proto.rq_text)
         with
         | Ok r -> r
@@ -740,8 +733,8 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
              ("anomalies", Json.List recent) ])
   | "metrics" ->
       (* the full registry — RED counters/histograms the serve path
-         maintains, plus every shard engine's [engine.*]/[cache.*]/
-         [fragments.*] published on demand.  Re-serialized through the
+         maintains, plus every shard engine's [engine.*]/[cache.*]
+         published on demand.  Re-serialized through the
          parser so the ms2-metrics-1 object embeds on one line. *)
       publish_all_metrics st;
       (match Json.parse (Obs.Metrics.to_json ()) with
@@ -1245,9 +1238,9 @@ let load_prelude_file (engine : Ms2.Api.engine) (path : string) : unit =
       | Result.Error d -> fatal "prelude failed: %s" (Diag.to_string d))
 
 let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
-    ~fragment_jobs ~socket ~pidfile ~write_pidfile ~max_pending
-    ~max_sessions ~session_idle_ms ~max_request_bytes ~cache_file
-    ~snapshot_idle_ms ~slow_ms ~flight_dir ~prometheus () : unit =
+    ~socket ~pidfile ~write_pidfile ~max_pending ~max_sessions
+    ~session_idle_ms ~max_request_bytes ~cache_file ~snapshot_idle_ms
+    ~slow_ms ~flight_dir ~prometheus () : unit =
   (* a disconnected client must never kill the daemon with SIGPIPE *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Sys.set_signal Sys.sigterm
@@ -1262,12 +1255,6 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
      worker domain enables its own in [worker_loop]. *)
   Obs.Flight.enable ();
   let workers = if workers = 0 then Ms2_support.Pool.recommended () else workers in
-  (* [--fragment-jobs auto] splits the domain budget with --workers *)
-  let fragment_jobs =
-    if fragment_jobs = 0 then
-      max 1 (Ms2_support.Pool.recommended () / max 1 workers)
-    else fragment_jobs
-  in
   let cache_file = if cache then cache_file else None in
   (* one shared store across the shard engines, so warm fragments replay
      whichever domain they land on; a single shard keeps its private
@@ -1327,7 +1314,6 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
       max_sessions;
       session_idle_ms;
       max_request_bytes;
-      fragment_jobs;
       conns =
         (match listen_fd with
         | Some _ -> []
@@ -1365,7 +1351,6 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
   Log.info ~event:"serve.start" (fun () ->
       [ ("pid", Obs.Int (Unix.getpid ()));
         ("workers", Obs.Int (Array.length st.shards));
-        ("fragment_jobs", Obs.Int st.fragment_jobs);
         ("slow_ms", Obs.Int slow_ms) ]);
   serve_with_workers st
 
@@ -1551,16 +1536,6 @@ let workers_arg =
              domain count; the default 1 keeps the single-threaded \
              event loop.")
 
-let fragment_jobs_arg =
-  Arg.(value & opt nonneg_int 1 & info [ "fragment-jobs" ] ~docv:"N"
-       ~doc:"Expand large requests with $(docv) parallel domains \
-             $(i,within) the request (intra-file fragment parallelism; \
-             output stays byte-identical to sequential expansion).  \
-             Requests with few top-level fragments expand sequentially \
-             regardless.  $(b,0) resolves to the recommended domain \
-             count divided by the resolved $(b,--workers); the default \
-             1 disables it.")
-
 let cache_file_arg =
   Arg.(value & opt (some string) None & info [ "cache-file" ] ~docv:"FILE"
        ~doc:"Persist the shared expansion cache to $(docv): loaded on \
@@ -1605,10 +1580,10 @@ let log_level_arg =
              $(b,warn) or $(b,error).")
 
 let cmd : unit Cmd.t =
-  let run limits hygienic prelude prelude_file no_cache workers
-      fragment_jobs socket pidfile supervise_flag max_pending max_sessions
-      session_idle_ms max_request_bytes cache_file snapshot_idle_ms
-      slow_ms flight_dir prometheus log_level failpoints =
+  let run limits hygienic prelude prelude_file no_cache workers socket
+      pidfile supervise_flag max_pending max_sessions session_idle_ms
+      max_request_bytes cache_file snapshot_idle_ms slow_ms flight_dir
+      prometheus log_level failpoints =
     arm_failpoints failpoints;
     (match Ms2_support.Log.level_of_string log_level with
     | Some l -> Ms2_support.Log.set_level l
@@ -1617,7 +1592,7 @@ let cmd : unit Cmd.t =
           log_level);
     let worker ~write_pidfile () =
       run_server ~limits ~hygienic ~prelude ~prelude_file
-        ~cache:(not no_cache) ~workers ~fragment_jobs ~socket ~pidfile
+        ~cache:(not no_cache) ~workers ~socket ~pidfile
         ~write_pidfile ~max_pending ~max_sessions ~session_idle_ms
         ~max_request_bytes ~cache_file ~snapshot_idle_ms ~slow_ms
         ~flight_dir ~prometheus ()
@@ -1638,8 +1613,8 @@ let cmd : unit Cmd.t =
              crash-safe supervision")
     Term.(
       const run $ limits_term $ hygienic_arg $ prelude_arg
-      $ prelude_file_arg $ no_cache_arg $ workers_arg $ fragment_jobs_arg
-      $ socket_arg $ pidfile_arg $ supervise_arg $ max_pending_arg
+      $ prelude_file_arg $ no_cache_arg $ workers_arg $ socket_arg
+      $ pidfile_arg $ supervise_arg $ max_pending_arg
       $ max_sessions_arg $ session_idle_ms_arg $ max_request_bytes_arg
       $ cache_file_arg $ snapshot_idle_ms_arg $ slow_ms_arg
       $ flight_dir_arg $ prometheus_arg $ log_level_arg $ failpoints_arg)

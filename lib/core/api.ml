@@ -35,24 +35,6 @@ type stats = {
       (** … because the session state had no trustworthy digest *)
   cache_bypass_budget : int;
       (** … because a replay would overdraw the remaining budget *)
-  fragments_speculated : int;
-      (** fragments expanded speculatively on worker domains (always
-          [fragments_committed + fragments_revalidated]) *)
-  fragments_committed : int;
-      (** speculative fragment results that passed commit validation *)
-  fragments_revalidated : int;
-      (** speculative fragment results discarded and re-expanded
-          sequentially *)
-  fragments_abort_defs_bump : int;
-      (** aborts: the fragment defined or redefined a macro *)
-  fragments_abort_gensym_mint : int;
-      (** aborts: the fragment minted generated names or anonymous
-          tags *)
-  fragments_abort_meta_decl : int;  (** aborts: the fragment ran a metadcl *)
-  fragments_abort_stale_read : int;
-      (** aborts: reads not provably fresh at validation or commit *)
-  fragments_abort_foreign_closure : int;
-      (** aborts: a global was bound to a meta closure *)
   pattern_memo_hits : int;
       (** compiled-invocation-pattern memo hits ({e process-global}: the
           memo is shared by every engine in the process) *)
@@ -172,19 +154,6 @@ let stats (engine : engine) : stats =
     cache_bypass_uncacheable =
       engine.Engine.stats.Engine.cache_bypass_uncacheable;
     cache_bypass_budget = engine.Engine.stats.Engine.cache_bypass_budget;
-    fragments_speculated = engine.Engine.stats.Engine.frag_speculated;
-    fragments_committed = engine.Engine.stats.Engine.frag_committed;
-    fragments_revalidated = engine.Engine.stats.Engine.frag_revalidated;
-    fragments_abort_defs_bump =
-      engine.Engine.stats.Engine.frag_abort_defs_bump;
-    fragments_abort_gensym_mint =
-      engine.Engine.stats.Engine.frag_abort_gensym_mint;
-    fragments_abort_meta_decl =
-      engine.Engine.stats.Engine.frag_abort_meta_decl;
-    fragments_abort_stale_read =
-      engine.Engine.stats.Engine.frag_abort_stale_read;
-    fragments_abort_foreign_closure =
-      engine.Engine.stats.Engine.frag_abort_foreign_closure;
     pattern_memo_hits = Obs.Metrics.value c_pattern_memo_hits;
     pattern_memo_misses = Obs.Metrics.value c_pattern_memo_misses;
     firstset_memo_hits = Obs.Metrics.value c_firstset_memo_hits;
@@ -337,7 +306,7 @@ module Session = struct
     s.sn_fuel <- s.sn_fuel + d.d_fuel;
     d
 
-  let expand (s : t) ?deadline_ms ?fragment_jobs ?(source = "<request>")
+  let expand (s : t) ?deadline_ms ?(source = "<request>")
       (text : string) : (string * delta, Diag.t * delta) result =
     let e = s.sn_engine in
     (* enter: put the shared engine on this session's committed state.
@@ -348,7 +317,7 @@ module Session = struct
     s.sn_requests <- s.sn_requests + 1;
     match
       Diag.protect (fun () ->
-          Engine.expand_source e ~source ?deadline_ms ?fragment_jobs text)
+          Engine.expand_source e ~source ?deadline_ms text)
     with
     | Result.Error diag ->
         let d = absorb_delta s st0 in

@@ -34,28 +34,6 @@ type stats = {
       (** … because the session state had no trustworthy digest *)
   cache_bypass_budget : int;
       (** … because a replay would overdraw the remaining budget *)
-  fragments_speculated : int;
-      (** fragments expanded speculatively on worker domains by the
-          intra-file fragment parallelism (always
-          [fragments_committed + fragments_revalidated]) *)
-  fragments_committed : int;
-      (** speculative fragment results that passed commit validation *)
-  fragments_revalidated : int;
-      (** speculative fragment results discarded and re-expanded
-          sequentially *)
-  fragments_abort_defs_bump : int;
-      (** aborts: the fragment defined or redefined a macro *)
-  fragments_abort_gensym_mint : int;
-      (** aborts: the fragment minted generated names or anonymous
-          tags *)
-  fragments_abort_meta_decl : int;  (** aborts: the fragment ran a metadcl *)
-  fragments_abort_stale_read : int;
-      (** aborts: reads not provably fresh at validation or commit time
-          (open scopes, undiffable symbol-table delta, or dirtied by an
-          earlier commit) *)
-  fragments_abort_foreign_closure : int;
-      (** aborts: a global was bound to a meta closure, which cannot
-          cross engines *)
   pattern_memo_hits : int;
       (** compiled-invocation-pattern memo hits ({e process-global}: the
           memo is shared by every engine in the process, so this is not
@@ -208,15 +186,13 @@ module Session : sig
   val id : t -> string
 
   val expand :
-    t -> ?deadline_ms:int -> ?fragment_jobs:int -> ?source:string -> string ->
+    t -> ?deadline_ms:int -> ?source:string -> string ->
     (string * delta, Diag.t * delta) result
   (** Expand one fragment in this session and render it as pure C.
-      [deadline_ms] narrows the fragment watchdog; [fragment_jobs] > 1
-      enables intra-file fragment parallelism for this request (see
-      {!Engine.expand_source}).  On [Error] the session state is
-      unchanged (the fragment rolled back); on [Ok] the session's
-      checkpoint has advanced.  Not reentrant: sessions sharing an
-      engine must run one fragment at a time. *)
+      [deadline_ms] narrows the fragment watchdog.  On [Error] the
+      session state is unchanged (the fragment rolled back); on [Ok] the
+      session's checkpoint has advanced.  Not reentrant: sessions
+      sharing an engine must run one fragment at a time. *)
 
   val reset : t -> unit
   (** Roll the session back to its creation-time state. *)

@@ -25,7 +25,6 @@ module Tenv = Ms2_typing.Tenv
 module Of_cdecl = Ms2_typing.Of_cdecl
 module State = Ms2_parser.State
 module Parser = Ms2_parser.Parser
-module Prescan = Ms2_parser.Prescan
 module Value = Ms2_meta.Value
 module Interp = Ms2_meta.Interp
 module Fill = Ms2_meta.Fill
@@ -54,33 +53,6 @@ type stats = {
   mutable cache_bypass_budget : int;
       (** bypasses because a replay would overdraw the remaining global
           budget (the real run must happen, and fail, for real) *)
-  mutable frag_speculated : int;
-      (** fragments that ran speculatively on a worker domain and
-          produced a verdict; always [frag_committed +
-          frag_revalidated] *)
-  mutable frag_committed : int;
-      (** speculative results that passed commit-time validation and
-          were spliced into the output *)
-  mutable frag_revalidated : int;
-      (** speculative results discarded at commit time (stale reads,
-          shared-state writes, worker failure) and re-expanded
-          sequentially *)
-  mutable frag_abort_defs_bump : int;
-      (** aborts because the fragment defined or redefined a macro
-          (the worker's [defs_version] moved) *)
-  mutable frag_abort_gensym_mint : int;
-      (** aborts because the fragment minted generated names or
-          anonymous tags (name identity differs across replays) *)
-  mutable frag_abort_meta_decl : int;
-      (** aborts because the fragment ran a [metadcl] (meta-program
-          side effects must execute on the main engine, in order) *)
-  mutable frag_abort_stale_read : int;
-      (** aborts because the fragment's reads could not be proven
-          fresh: open scopes, an undiffable symbol-table delta, or a
-          commit-time validation failure against earlier commits *)
-  mutable frag_abort_foreign_closure : int;
-      (** aborts because the fragment bound a global to a meta closure
-          (closures cannot be transplanted between engines) *)
 }
 
 type t = {
@@ -418,10 +390,7 @@ let create ?(limits = Limits.default) ?(compile_patterns = true)
           macros_defined = 0; cache_hits = 0; cache_misses = 0;
           cache_evictions = 0; cache_bypasses = 0; cache_bypass_trace = 0;
           cache_bypass_failpoints = 0; cache_bypass_uncacheable = 0;
-          cache_bypass_budget = 0; frag_speculated = 0; frag_committed = 0;
-          frag_revalidated = 0; frag_abort_defs_bump = 0;
-          frag_abort_gensym_mint = 0; frag_abort_meta_decl = 0;
-          frag_abort_stale_read = 0; frag_abort_foreign_closure = 0 };
+          cache_bypass_budget = 0 };
       defs_version = 0;
       fp_tables_memo = None;
       cache =
@@ -938,578 +907,6 @@ let expand_source_uncached (t : t) ?deadline_ms ~source (text : string) :
       raise e
 
 (* ------------------------------------------------------------------ *)
-(* Intra-file fragment parallelism                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* One translation unit, many fragments: a cheap token pre-scan
-   ({!Ms2_parser.Prescan}) finds top-level fragment boundaries and
-   conservatively classifies each fragment.  Definition-bearing
-   fragments are sequential *barriers*; runs of pure-invocation
-   fragments between barriers expand speculatively on the work-stealing
-   pool against snapshot-isolated per-domain engines, and their results
-   commit *in fragment order* on the main engine — or are discarded and
-   re-expanded sequentially when commit-time validation finds the
-   speculation observed state a predecessor has since changed.  The
-   output is byte-identical to a sequential run by construction: every
-   committed result is proven equivalent to what the sequential walk
-   would have produced, and everything else *is* the sequential walk.
-
-   Validation is the [defs_version] discipline extended with read/write
-   odometers: a worker result is discarded unless
-     - the worker saw no definition activity (its [defs_version] still
-       equals the run-start version, no gensym names or anonymous tags
-       were minted, no meta declarations ran), and
-     - the main engine's [defs_version] still equals the run-start
-       version at commit time, and
-     - nothing the fragment *read* (per-kind [Senv] lookups, global meta
-       bindings) has been dirtied by an earlier commit or re-expansion
-       in the same run, and
-     - charging the fragment's fuel/node consumption cannot overdraw
-       the remaining global budget (a sequential run would have failed
-       inside the fragment, so it must re-run for real). *)
-
-let c_frag_speculated = Obs.Metrics.counter "fragments.speculated"
-let c_frag_committed = Obs.Metrics.counter "fragments.committed"
-let c_frag_revalidated = Obs.Metrics.counter "fragments.revalidated"
-let c_frag_abort_defs_bump = Obs.Metrics.counter "fragments.abort.defs_bump"
-
-let c_frag_abort_gensym_mint =
-  Obs.Metrics.counter "fragments.abort.gensym_mint"
-
-let c_frag_abort_meta_decl = Obs.Metrics.counter "fragments.abort.meta_decl"
-
-let c_frag_abort_stale_read =
-  Obs.Metrics.counter "fragments.abort.stale_read"
-
-let c_frag_abort_foreign_closure =
-  Obs.Metrics.counter "fragments.abort.foreign_closure"
-
-let rec contains_closure (v : Value.t) : bool =
-  match v with
-  | Value.Vclosure _ -> true
-  | Value.Vlist items -> List.exists contains_closure items
-  | Value.Vtuple fields -> List.exists (fun (_, x) -> contains_closure x) fields
-  | Value.Vint _ | Value.Vstring _ | Value.Vnode _ | Value.Vbuiltin _
-  | Value.Vvoid -> false
-
-(* Rebind a global meta value onto a worker engine's environment.
-   Top-level meta functions are closures over the engine's *global*
-   environment ([cl_env == from_env]); rebinding that pointer is the
-   whole adoption.  A closure over anything else (a lambda that escaped
-   into a global) has captured local state we cannot relocate — [None]
-   makes the adoption skip the binding, so a worker that touches it
-   fails lookup, aborts, and the fragment re-expands sequentially. *)
-let rec transplant_value ~(from_env : Value.env) ~(to_env : Value.env)
-    (v : Value.t) : Value.t option =
-  match v with
-  | Value.Vint _ | Value.Vstring _ | Value.Vnode _ | Value.Vbuiltin _
-  | Value.Vvoid -> Some v
-  | Value.Vclosure cl ->
-      if cl.Value.cl_env == from_env then
-        Some (Value.Vclosure { cl with Value.cl_env = to_env })
-      else None
-  | Value.Vlist items ->
-      let rec go acc = function
-        | [] -> Some (Value.Vlist (List.rev acc))
-        | x :: rest -> (
-            match transplant_value ~from_env ~to_env x with
-            | Some x' -> go (x' :: acc) rest
-            | None -> None)
-      in
-      go [] items
-  | Value.Vtuple fields ->
-      let rec go acc = function
-        | [] -> Some (Value.Vtuple (List.rev acc))
-        | (name, x) :: rest -> (
-            match transplant_value ~from_env ~to_env x with
-            | Some x' -> go ((name, x') :: acc) rest
-            | None -> None)
-      in
-      go [] fields
-
-(* AST-level hardening of the token classifier: anything that registers
-   definitions or runs meta code at top level is a barrier even if the
-   pre-scan missed it. *)
-let decl_is_barrier (d : decl) : bool =
-  match d.d with
-  | Decl_macro_def _ | Decl_metadcl _ -> true
-  | Decl_plain (specs, _) -> List.mem S_typedef specs || is_meta_top d
-  | _ -> is_meta_top d
-
-type frag_plan = { fp_barrier : bool; fp_decls : decl list }
-
-(* Assign parsed top-level declarations to pre-scanned fragments by
-   byte offset (a declaration belongs to the fragment containing its
-   start).  Token-level boundary errors only group declarations
-   unevenly; classification is re-derived from the AST on top of the
-   token-level verdict.  Fragments that end up empty are dropped. *)
-let plan_fragments (frags : Prescan.fragment list) (prog : program) :
-    frag_plan array =
-  let frags = Array.of_list frags in
-  let n = Array.length frags in
-  if n = 0 then
-    [| { fp_barrier = true; fp_decls = prog } |]
-  else begin
-    let buckets = Array.make n [] in
-    let barrier = Array.map (fun f -> f.Prescan.fg_barrier) frags in
-    let fi = ref 0 in
-    List.iter
-      (fun (d : decl) ->
-        let off = d.dloc.Loc.start_pos.Loc.offset in
-        while
-          !fi + 1 < n && frags.(!fi + 1).Prescan.fg_offset <= off
-        do
-          incr fi
-        done;
-        buckets.(!fi) <- d :: buckets.(!fi);
-        if decl_is_barrier d then barrier.(!fi) <- true)
-      prog;
-    let plan = ref [] in
-    for k = n - 1 downto 0 do
-      match buckets.(k) with
-      | [] -> ()
-      | ds -> plan := { fp_barrier = barrier.(k); fp_decls = List.rev ds }
-                      :: !plan
-    done;
-    Array.of_list !plan
-  end
-
-(* What a speculative worker hands back for one fragment.  All state
-   changes are *deltas against the run-start snapshot*, applied on the
-   main engine at commit; committing deltas in fragment order is
-   last-writer-wins, which is exactly the sequential outcome. *)
-type frag_commit = {
-  fr_prog : program;  (** expanded output of the fragment *)
-  fr_senv_delta : Senv.top_delta;
-  fr_genv_delta : (string * Value.t) list;
-      (** global meta bindings the fragment added or rebound *)
-  fr_sreads : int * int * int;
-      (** [Senv] lookups (vars, typedefs, layouts) the fragment made *)
-  fr_greads : int;  (** global meta-binding lookups the fragment made *)
-  fr_fuel : int;
-  fr_nodes : int;
-  fr_invocations : int;
-}
-
-(** Why a speculation could not commit — the labeled
-    [fragments.abort.*] breakdown.  A [Frag_done] that later fails
-    {!frag_commit_ok} (earlier commits dirtied what it read) counts as
-    [Abort_stale_read]; a worker that raised ([Frag_fail]) carries no
-    cause — the re-expansion will surface the real error. *)
-type abort_cause =
-  | Abort_defs_bump
-  | Abort_gensym_mint
-  | Abort_meta_decl
-  | Abort_stale_read
-  | Abort_foreign_closure
-
-let abort_cause_name = function
-  | Abort_defs_bump -> "defs_bump"
-  | Abort_gensym_mint -> "gensym_mint"
-  | Abort_meta_decl -> "meta_decl"
-  | Abort_stale_read -> "stale_read"
-  | Abort_foreign_closure -> "foreign_closure"
-
-let count_abort (t : t) (cause : abort_cause) : unit =
-  (match cause with
-  | Abort_defs_bump ->
-      t.stats.frag_abort_defs_bump <- t.stats.frag_abort_defs_bump + 1;
-      Obs.Metrics.incr c_frag_abort_defs_bump
-  | Abort_gensym_mint ->
-      t.stats.frag_abort_gensym_mint <- t.stats.frag_abort_gensym_mint + 1;
-      Obs.Metrics.incr c_frag_abort_gensym_mint
-  | Abort_meta_decl ->
-      t.stats.frag_abort_meta_decl <- t.stats.frag_abort_meta_decl + 1;
-      Obs.Metrics.incr c_frag_abort_meta_decl
-  | Abort_stale_read ->
-      t.stats.frag_abort_stale_read <- t.stats.frag_abort_stale_read + 1;
-      Obs.Metrics.incr c_frag_abort_stale_read
-  | Abort_foreign_closure ->
-      t.stats.frag_abort_foreign_closure <-
-        t.stats.frag_abort_foreign_closure + 1;
-      Obs.Metrics.incr c_frag_abort_foreign_closure);
-  Obs.instant ~cat:"fragment"
-    ~args:(fun () -> [ ("cause", Obs.Str (abort_cause_name cause)) ])
-    "speculation-abort"
-
-type frag_result =
-  | Frag_done of frag_commit
-  | Frag_abort of abort_cause
-      (** validation failed on the worker; revalidate *)
-  | Frag_fail
-      (** the worker raised: revalidate, and stop later speculation so
-          first-fatal semantics match the sequential index *)
-
-(* Worker engines live in domain-local storage, stamped with the id of
-   the speculation run that adopted them: the pool spawns fresh domains
-   per call (empty DLS), but the calling domain is worker 0 and keeps
-   its slot across runs, so adoption must be re-keyed per run. *)
-type frag_worker_state = {
-  fw_run : int;  (** the speculation run this worker was adopted for *)
-  fw_engine : t;
-  fw_adopt : checkpoint;  (** run-start state, globals transplanted *)
-  fw_base : (string, Value.t) Hashtbl.t;
-      (** [fw_adopt.cp_globals] as a table, for the commit diff *)
-}
-
-type frag_ctx = {
-  fx_run : int;
-  fx_main : t;  (** read-only from workers: configuration only *)
-  fx_cp : checkpoint;  (** run-start checkpoint of the main engine *)
-  fx_v0 : int;  (** [defs_version] at run start *)
-  fx_frag_ms : int;  (** per-fragment watchdog deadline *)
-}
-
-let frag_run_counter = Atomic.make 0
-
-let frag_worker_slot : frag_worker_state option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let frag_worker (ctx : frag_ctx) : frag_worker_state =
-  let slot = Domain.DLS.get frag_worker_slot in
-  match !slot with
-  | Some fw when fw.fw_run = ctx.fx_run -> fw
-  | _ ->
-      let m = ctx.fx_main in
-      let w =
-        create ~limits:m.limits ~compile_patterns:m.compile_patterns
-          ~hygienic:m.env.Value.hygienic ~recover:false
-          ~provenance:m.provenance ~transactional:false ~cache:false ()
-      in
-      let globals =
-        List.filter_map
-          (fun (name, v) ->
-            match transplant_value ~from_env:m.env ~to_env:w.env v with
-            | Some v' -> Some (name, v')
-            | None -> None)
-          ctx.fx_cp.cp_globals
-      in
-      let adopt = { ctx.fx_cp with cp_globals = globals } in
-      let base = Hashtbl.create (List.length globals * 2 + 1) in
-      List.iter (fun (name, v) -> Hashtbl.replace base name v) globals;
-      let fw = { fw_run = ctx.fx_run; fw_engine = w; fw_adopt = adopt;
-                 fw_base = base }
-      in
-      slot := Some fw;
-      fw
-
-(* Globals the fragment added or rebound, relative to the adopted
-   snapshot.  Physical comparison against the snapshot value is sound
-   because {!Value.t} is structurally immutable: a binding whose ref
-   still holds the very value the snapshot recorded was not written
-   (or was rewritten to the identical value, which commits as a
-   no-op either way). *)
-let frag_genv_delta (fw : frag_worker_state) : (string * Value.t) list =
-  Hashtbl.fold
-    (fun name r acc ->
-      match Hashtbl.find_opt fw.fw_base name with
-      | Some v0 when !r == v0 -> acc
-      | _ -> (name, !r) :: acc)
-    (global_scope fw.fw_engine) []
-
-(* Expand one fragment speculatively on this domain's worker engine.
-   Never raises: every failure is contained in the result. *)
-let frag_speculate (ctx : frag_ctx) (decls : decl list) ~(index : int) :
-    frag_result =
-  match frag_worker ctx with
-  | exception _ -> Frag_fail
-  | fw -> (
-      let w = fw.fw_engine in
-      let b = w.env.Value.budget in
-      let finish () = Watchdog.disarm w.watchdog in
-      try
-        rollback w fw.fw_adopt;
-        (* full per-file budget; reconciled against the main engine's
-           remaining pool at commit time *)
-        b.Value.fuel <- b.Value.fuel_initial;
-        b.Value.nodes <- b.Value.nodes_initial;
-        let sreads0 = Senv.reads w.senv in
-        let greads0 = !(w.env.Value.greads) in
-        let gensym0 = Gensym.count w.gensym in
-        let anon0 = Senv.anon_count w.senv in
-        let meta0 = w.stats.meta_declarations_run in
-        let inv0 = w.stats.invocations_expanded in
-        Watchdog.arm w.watchdog ~ms:ctx.fx_frag_ms;
-        let prog =
-          Obs.with_span ~cat:"expand"
-            ~args:(fun () ->
-              [ ("fragment_index", Obs.Int index);
-                ("speculative", Obs.Bool true) ])
-            "fragment-expand"
-            (fun () ->
-              (let loc =
-                 match decls with
-                 | d :: _ -> d.dloc
-                 | [] -> Loc.dummy
-               in
-               Failpoint.hit ~watchdog:w.watchdog ~loc "engine/fragment");
-              expand_program w decls)
-        in
-        finish ();
-        let sub3 (a, b, c) (a0, b0, c0) = (a - a0, b - b0, c - c0) in
-        if w.defs_version <> ctx.fx_v0 then Frag_abort Abort_defs_bump
-        else if
-          Gensym.count w.gensym <> gensym0
-          || Senv.anon_count w.senv <> anon0
-        then Frag_abort Abort_gensym_mint
-        else if w.stats.meta_declarations_run <> meta0 then
-          Frag_abort Abort_meta_decl
-        else if
-          List.length w.env.Value.scopes <> 1 || Senv.depth w.senv <> 1
-        then Frag_abort Abort_stale_read
-        else
-          match Senv.diff_top w.senv ~base:ctx.fx_cp.cp_senv with
-          | None -> Frag_abort Abort_stale_read
-          | Some senv_delta ->
-              let genv_delta = frag_genv_delta fw in
-              if List.exists (fun (_, v) -> contains_closure v) genv_delta
-              then Frag_abort Abort_foreign_closure
-              else
-                Frag_done
-                  {
-                    fr_prog = prog;
-                    fr_senv_delta = senv_delta;
-                    fr_genv_delta = genv_delta;
-                    fr_sreads = sub3 (Senv.reads w.senv) sreads0;
-                    fr_greads = !(w.env.Value.greads) - greads0;
-                    fr_fuel = b.Value.fuel_initial - b.Value.fuel;
-                    fr_nodes = b.Value.nodes_initial - b.Value.nodes;
-                    fr_invocations = w.stats.invocations_expanded - inv0;
-                  }
-      with _ ->
-        finish ();
-        Frag_fail)
-
-(* Per-kind dirtiness of shared state *within one speculation run*: a
-   speculative result may only commit if everything it read is still
-   what the run-start snapshot said.  Flags are set by committed deltas
-   and by whatever a sequential re-expansion wrote (measured with the
-   [Senv] write odometers; global meta writes are unmeasured on the
-   main engine, so any re-expansion conservatively dirties globals). *)
-type frag_dirty = {
-  mutable fd_vars : bool;
-  mutable fd_typedefs : bool;
-  mutable fd_layouts : bool;
-  mutable fd_globals : bool;
-}
-
-let frag_commit_ok (t : t) (dirty : frag_dirty) ~(v0 : int)
-    (r : frag_commit) : bool =
-  let b = t.env.Value.budget in
-  let rv, rt, rl = r.fr_sreads in
-  t.defs_version = v0
-  && b.Value.fuel >= r.fr_fuel
-  && b.Value.nodes >= r.fr_nodes
-  && ((not dirty.fd_vars) || rv = 0)
-  && ((not dirty.fd_typedefs) || rt = 0)
-  && ((not dirty.fd_layouts) || rl = 0)
-  && ((not dirty.fd_globals) || r.fr_greads = 0)
-
-let frag_apply_commit (t : t) (dirty : frag_dirty) (r : frag_commit) : unit =
-  Senv.apply_top t.senv r.fr_senv_delta;
-  let global = global_scope t in
-  List.iter
-    (fun (name, v) ->
-      match Hashtbl.find_opt global name with
-      | Some cell -> cell := v
-      | None -> Hashtbl.replace global name (ref v))
-    r.fr_genv_delta;
-  let b = t.env.Value.budget in
-  b.Value.fuel <- b.Value.fuel - r.fr_fuel;
-  b.Value.nodes <- b.Value.nodes - r.fr_nodes;
-  t.stats.invocations_expanded <-
-    t.stats.invocations_expanded + r.fr_invocations;
-  let dv, dt, dl = Senv.delta_counts r.fr_senv_delta in
-  if dv > 0 then dirty.fd_vars <- true;
-  if dt > 0 then dirty.fd_typedefs <- true;
-  if dl > 0 then dirty.fd_layouts <- true;
-  if r.fr_genv_delta <> [] then dirty.fd_globals <- true
-
-(* The ordered walk: barriers and short runs expand sequentially on the
-   main engine; runs of two or more pure fragments speculate on the
-   pool, then commit (or re-expand) in fragment order.  Raises exactly
-   like {!expand_program} — the caller's transactional wrapper handles
-   rollback. *)
-let frag_commit_walk (t : t) ~(jobs : int) ~(fragment_ms : int)
-    (plan : frag_plan array) : program =
-  let n = Array.length plan in
-  let chunks = ref [] in
-  let seq_expand idx decls =
-    let prog =
-      Obs.with_span ~cat:"expand"
-        ~args:(fun () ->
-          [ ("fragment_index", Obs.Int idx);
-            ("speculative", Obs.Bool false) ])
-        "fragment-expand"
-        (fun () -> expand_program t decls)
-    in
-    chunks := prog :: !chunks
-  in
-  let i = ref 0 in
-  while !i < n do
-    let j = ref !i in
-    while !j < n && not plan.(!j).fp_barrier do incr j done;
-    if !j - !i < 2 then begin
-      (* a barrier, or a lone pure fragment not worth a checkpoint *)
-      let stop = if !j = !i then !i + 1 else !j in
-      while !i < stop do
-        seq_expand !i plan.(!i).fp_decls;
-        incr i
-      done
-    end
-    else begin
-      let base = !i and stop = !j in
-      let v0 = t.defs_version in
-      let cp =
-        Obs.with_span ~cat:"txn" "speculation-checkpoint" (fun () ->
-            checkpoint t)
-      in
-      let ctx =
-        { fx_run = 1 + Atomic.fetch_and_add frag_run_counter 1;
-          fx_main = t; fx_cp = cp; fx_v0 = v0; fx_frag_ms = fragment_ms }
-      in
-      let results =
-        Pool.map ~jobs
-          ~stop:(function Frag_fail -> true | _ -> false)
-          (stop - base)
-          (fun k ->
-            frag_speculate ctx plan.(base + k).fp_decls ~index:(base + k))
-      in
-      let dirty =
-        { fd_vars = false; fd_typedefs = false; fd_layouts = false;
-          fd_globals = false }
-      in
-      let revalidate idx decls =
-        t.stats.frag_revalidated <- t.stats.frag_revalidated + 1;
-        Obs.Metrics.incr c_frag_revalidated;
-        let w0 = Senv.writes t.senv in
-        dirty.fd_globals <- true;
-        seq_expand idx decls;
-        let wv0, wt0, wl0 = w0 in
-        let wv, wt, wl = Senv.writes t.senv in
-        if wv > wv0 then dirty.fd_vars <- true;
-        if wt > wt0 then dirty.fd_typedefs <- true;
-        if wl > wl0 then dirty.fd_layouts <- true
-      in
-      for k = base to stop - 1 do
-        let decls = plan.(k).fp_decls in
-        match results.(k - base) with
-        | Some (Frag_done r) ->
-            t.stats.frag_speculated <- t.stats.frag_speculated + 1;
-            Obs.Metrics.incr c_frag_speculated;
-            if frag_commit_ok t dirty ~v0 r then begin
-              t.stats.frag_committed <- t.stats.frag_committed + 1;
-              Obs.Metrics.incr c_frag_committed;
-              frag_apply_commit t dirty r;
-              chunks := r.fr_prog :: !chunks
-            end
-            else begin
-              (* the worker's result was self-consistent; what it read
-                 went stale under earlier commits/re-expansions *)
-              count_abort t Abort_stale_read;
-              revalidate k decls
-            end
-        | Some (Frag_abort cause) ->
-            t.stats.frag_speculated <- t.stats.frag_speculated + 1;
-            Obs.Metrics.incr c_frag_speculated;
-            count_abort t cause;
-            revalidate k decls
-        | Some Frag_fail ->
-            t.stats.frag_speculated <- t.stats.frag_speculated + 1;
-            Obs.Metrics.incr c_frag_speculated;
-            revalidate k decls
-        | None ->
-            (* cancelled before it ran — plain sequential expansion,
-               not a revalidation *)
-            seq_expand k decls
-      done;
-      i := stop
-    end
-  done;
-  List.concat (List.rev !chunks)
-
-(** Fragment-parallel counterpart of {!expand_source_uncached}: same
-    transactional boundary, same failure behavior, same output bytes.
-    Degrades to the sequential path when the observability or trace
-    modes need a faithful sequential event stream, when the engine is
-    not transactional (speculation needs checkpoints), or when the file
-    has too few fragments to win. *)
-let expand_source_fragmented (t : t) ~(jobs : int) ~(fragment_min : int)
-    ?deadline_ms ~source (text : string) : program =
-  if t.trace <> None then begin
-    (match t.trace with
-    | Some fmt ->
-        Format.fprintf fmt
-          "fragments: expanding %s sequentially (trace mode is on)@." source
-    | None -> ());
-    expand_source_uncached t ?deadline_ms ~source text
-  end
-  else if
-    jobs < 2 || (not t.transactional) || Obs.Profile.enabled ()
-    || Obs.recording ()
-  then expand_source_uncached t ?deadline_ms ~source text
-  else begin
-    let loc0 = fragment_start ~source in
-    let cp =
-      Some (Obs.with_span ~cat:"txn" "checkpoint" (fun () -> checkpoint t))
-    in
-    let rollback_traced cp =
-      Obs.with_span ~cat:"txn" "rollback" (fun () -> rollback t cp)
-    in
-    let fragment_ms =
-      match deadline_ms with
-      | Some d -> min t.limits.Limits.timeout_ms d
-      | None -> t.limits.Limits.timeout_ms
-    in
-    Watchdog.arm t.watchdog ~ms:fragment_ms;
-    let run () =
-      Failpoint.hit ~watchdog:t.watchdog ~loc:loc0 "engine/fragment";
-      let st =
-        Obs.with_span ~cat:"lex"
-          ~args:(fun () -> [ ("bytes", Obs.Int (String.length text)) ])
-          "lex"
-          (fun () ->
-            State.of_string ~macros:t.macros ~tenv:t.tenv ~compiled:t.compiled
-              ~watchdog:t.watchdog ~source text)
-      in
-      st.State.compile_patterns <- t.compile_patterns;
-      let frags = Prescan.split st.State.toks in
-      let prog =
-        Obs.with_span ~cat:"parse" "parse" (fun () ->
-            Parser.parse_program st)
-      in
-      let plan = plan_fragments frags prog in
-      if Array.length plan < max 2 fragment_min then
-        Obs.with_span ~cat:"expand" "expand-walk" (fun () ->
-            expand_program t prog)
-      else
-        Obs.with_span ~cat:"expand"
-          ~args:(fun () ->
-            [ ("fragments", Obs.Int (Array.length plan));
-              ("jobs", Obs.Int jobs) ])
-          "expand-walk-fragments"
-          (fun () -> frag_commit_walk t ~jobs ~fragment_ms plan)
-    in
-    match run () with
-    | prog ->
-        Watchdog.disarm t.watchdog;
-        prog
-    | exception Stack_overflow ->
-        Watchdog.disarm t.watchdog;
-        t.defs_version <- fresh_version ();
-        Option.iter rollback_traced cp;
-        Diag.error ~loc:loc0 ~code:Diag.code_stack Diag.Resource
-          "stack overflow while expanding %s (a pathologically deep \
-           program, or runaway recursion in a macro)"
-          source
-    | exception e ->
-        Watchdog.disarm t.watchdog;
-        t.defs_version <- fresh_version ();
-        Option.iter rollback_traced cp;
-        raise e
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Content-addressed expansion cache                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1605,18 +1002,8 @@ let replay (t : t) (e : cached_run) ~source (text : string) : program =
     recur (the entry would be dead), and a run that did not cannot
     depend on them — replaying it is bit-for-bit the rerun. *)
 let expand_source (t : t) ?(source = "<string>") ?deadline_ms
-    ?(fragment_jobs = 1) ?(fragment_min = 8) (text : string) : program =
-  (* fragment parallelism replaces only the *uncached* runner; the
-     cache layer (probe, store, bypass accounting) is identical either
-     way, and the store-side mint guards hold because committed
-     speculative fragments never touch the main gensym or anonymous-tag
-     counters (aborted ones are discarded with their worker state). *)
-  let run_uncached () =
-    if fragment_jobs > 1 then
-      expand_source_fragmented t ~jobs:fragment_jobs ~fragment_min
-        ?deadline_ms ~source text
-    else expand_source_uncached t ?deadline_ms ~source text
-  in
+    (text : string) : program =
+  let run_uncached () = expand_source_uncached t ?deadline_ms ~source text in
   Obs.with_span ~cat:"fragment"
     ~args:(fun () ->
       [ ("source", Obs.Str source);

@@ -40,30 +40,6 @@ type stats = {
   mutable cache_bypass_budget : int;
       (** bypasses because a replay would overdraw the remaining global
           budget (the real run must happen, and fail, for real) *)
-  mutable frag_speculated : int;
-      (** fragments that ran speculatively on a worker domain and
-          produced a verdict; always [frag_committed +
-          frag_revalidated] *)
-  mutable frag_committed : int;
-      (** speculative results that passed commit-time validation and
-          were spliced into the output *)
-  mutable frag_revalidated : int;
-      (** speculative results discarded at commit time (stale reads,
-          shared-state writes, worker failure) and re-expanded
-          sequentially *)
-  mutable frag_abort_defs_bump : int;
-      (** aborts: the fragment defined or redefined a macro *)
-  mutable frag_abort_gensym_mint : int;
-      (** aborts: the fragment minted generated names or anonymous
-          tags *)
-  mutable frag_abort_meta_decl : int;
-      (** aborts: the fragment ran a [metadcl] *)
-  mutable frag_abort_stale_read : int;
-      (** aborts: reads not provably fresh (open scopes, undiffable
-          symbol-table delta, or commit-time validation failure) *)
-  mutable frag_abort_foreign_closure : int;
-      (** aborts: a global was bound to a meta closure, which cannot
-          cross engines *)
 }
 
 type checkpoint
@@ -186,8 +162,6 @@ val expand_source :
   t ->
   ?source:string ->
   ?deadline_ms:int ->
-  ?fragment_jobs:int ->
-  ?fragment_min:int ->
   string ->
   program
 (** Parse with this engine's macro table and meta type environment
@@ -195,21 +169,7 @@ val expand_source :
     [deadline_ms] — a caller's remaining wall-clock budget, e.g. a serve
     request's propagated deadline — narrows the fragment watchdog for
     this call; it can never extend past [limits.timeout_ms].  It is not
-    part of the cache key: a cache hit replays instantly regardless.
-
-    [fragment_jobs] (default 1 = off) > 1 enables intra-file fragment
-    parallelism on a cache miss: the file is split into top-level
-    fragments, definition-bearing fragments expand sequentially as
-    barriers, and runs of pure-invocation fragments between barriers
-    expand speculatively on [fragment_jobs] domains against
-    snapshot-isolated engine copies, committing in fragment order.  A
-    speculation whose reads turn out stale at commit time is discarded
-    and re-expanded sequentially, so the output — bytes, diagnostics,
-    diagnostic order, first-fatal behavior, resource accounting — is
-    identical to a sequential run.  Files with fewer than
-    [fragment_min] fragments (default 8), trace mode (announced in the
-    trace log), profile/recording observability modes, and
-    non-transactional engines all degrade to the sequential path. *)
+    part of the cache key: a cache hit replays instantly regardless. *)
 
 val diagnostics : t -> Diag.t list
 (** Diagnostics recorded by recovery mode so far, oldest first. *)

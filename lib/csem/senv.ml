@@ -31,20 +31,6 @@ type t = {
   mutable scopes : scope list;
   layouts : layout Intern.Tbl.t;  (** struct/union tag → field layout *)
   mutable anon_counter : int;  (** names for anonymous tags *)
-  (* Read/write odometers for the speculative fragment commit protocol
-     (see engine.ml): a speculative fragment expanded against a snapshot
-     is only committable when either it read nothing from a table kind,
-     or nothing of that kind was written since the snapshot.  The
-     counters are monotonic (like [anon_counter]) and never rolled back;
-     callers measure deltas.  Writes count only top-scope mutations —
-     function-local scopes are popped before a fragment boundary, so
-     they cannot be observed across fragments. *)
-  mutable reads_vars : int;
-  mutable reads_typedefs : int;
-  mutable reads_layouts : int;
-  mutable writes_vars : int;
-  mutable writes_typedefs : int;
-  mutable writes_layouts : int;
 }
 
 let new_scope () =
@@ -55,12 +41,6 @@ let create () =
     scopes = [ new_scope () ];
     layouts = Intern.Tbl.create 16;
     anon_counter = 0;
-    reads_vars = 0;
-    reads_typedefs = 0;
-    reads_layouts = 0;
-    writes_vars = 0;
-    writes_typedefs = 0;
-    writes_layouts = 0;
   }
 
 let push_scope t = t.scopes <- new_scope () :: t.scopes
@@ -87,12 +67,6 @@ let snapshot t : t =
     scopes = List.map copy_scope t.scopes;
     layouts = Intern.Tbl.copy t.layouts;
     anon_counter = t.anon_counter;
-    reads_vars = 0;
-    reads_typedefs = 0;
-    reads_layouts = 0;
-    writes_vars = 0;
-    writes_typedefs = 0;
-    writes_layouts = 0;
   }
 
 (** Reset [t] in place to [snap] (which is never mutated).  In place
@@ -113,22 +87,15 @@ let anon_count t = t.anon_counter
 
 let add_var t name ty =
   match t.scopes with
-  | [ top ] ->
-      t.writes_vars <- t.writes_vars + 1;
-      Intern.Tbl.replace top.vars (Intern.intern name) ty
   | scope :: _ -> Intern.Tbl.replace scope.vars (Intern.intern name) ty
   | [] -> assert false
 
 let add_typedef t name ty =
   match t.scopes with
-  | [ top ] ->
-      t.writes_typedefs <- t.writes_typedefs + 1;
-      Intern.Tbl.replace top.typedefs (Intern.intern name) ty
   | scope :: _ -> Intern.Tbl.replace scope.typedefs (Intern.intern name) ty
   | [] -> assert false
 
 let add_layout t tag fields =
-  t.writes_layouts <- t.writes_layouts + 1;
   let index = Intern.Tbl.create (List.length fields * 2) in
   List.iter
     (fun (name, ty) ->
@@ -150,16 +117,10 @@ let find tbl_of t name =
   in
   go t.scopes
 
-let find_var t name =
-  t.reads_vars <- t.reads_vars + 1;
-  find (fun s -> s.vars) t name
-
-let find_typedef t name =
-  t.reads_typedefs <- t.reads_typedefs + 1;
-  find (fun s -> s.typedefs) t name
+let find_var t name = find (fun s -> s.vars) t name
+let find_typedef t name = find (fun s -> s.typedefs) t name
 
 let find_layout t tag =
-  t.reads_layouts <- t.reads_layouts + 1;
   match Intern.Tbl.find_opt t.layouts (Intern.intern tag) with
   | Some layout -> Some layout.fields
   | None -> None
@@ -167,70 +128,12 @@ let find_layout t tag =
 (** Field type within a struct/union, [Unknown] when the layout (or the
     field) is unknown.  One interned-key probe, independent of width. *)
 let field_type t tag field : Ctype.t =
-  t.reads_layouts <- t.reads_layouts + 1;
   match Intern.Tbl.find_opt t.layouts (Intern.intern tag) with
   | None -> Ctype.Unknown
   | Some layout -> (
       match Intern.Tbl.find_opt layout.index (Intern.intern field) with
       | Some ty -> ty
       | None -> Ctype.Unknown)
-
-(* -- speculative-commit support ------------------------------------- *)
-
-(** Per-kind (vars, typedefs, layouts) counter triples, as deltas of
-    monotonic odometers.  See the field comments on [t]. *)
-let reads t = (t.reads_vars, t.reads_typedefs, t.reads_layouts)
-let writes t = (t.writes_vars, t.writes_typedefs, t.writes_layouts)
-
-(** The top-scope difference between [t] and the snapshot it was
-    restored from: what a speculative fragment wrote.  [None] when the
-    environments are not at a comparable fragment boundary (both must be
-    a single open scope).  Unchanged-layout detection is physical — a
-    [restore] shares layout records with its snapshot, so any entry the
-    fragment did not touch is the same record. *)
-type top_delta = {
-  dl_vars : (string * Ctype.t) list;
-  dl_typedefs : (string * Ctype.t) list;
-  dl_layouts : (string * (string * Ctype.t) list) list;
-}
-
-let diff_top (t : t) ~(base : t) : top_delta option =
-  match (t.scopes, base.scopes) with
-  | [ top ], [ base_top ] ->
-      let tbl_delta cur base =
-        Intern.Tbl.fold
-          (fun sym ty acc ->
-            match Intern.Tbl.find_opt base sym with
-            | Some ty0 when ty0 == ty || ty0 = ty -> acc
-            | _ -> (Intern.str sym, ty) :: acc)
-          cur []
-      in
-      let dl_layouts =
-        Intern.Tbl.fold
-          (fun tag layout acc ->
-            match Intern.Tbl.find_opt base.layouts tag with
-            | Some l0 when l0 == layout -> acc
-            | _ -> (Intern.str tag, layout.fields) :: acc)
-          t.layouts []
-      in
-      Some
-        {
-          dl_vars = tbl_delta top.vars base_top.vars;
-          dl_typedefs = tbl_delta top.typedefs base_top.typedefs;
-          dl_layouts;
-        }
-  | _ -> None
-
-let delta_counts (d : top_delta) : int * int * int =
-  (List.length d.dl_vars, List.length d.dl_typedefs, List.length d.dl_layouts)
-
-(** Replay a delta into [t]'s innermost scope.  [add_layout] rebuilds
-    the field index exactly as the original binding would have, so the
-    committed state is indistinguishable from a sequential run. *)
-let apply_top (t : t) (d : top_delta) : unit =
-  List.iter (fun (name, ty) -> add_var t name ty) d.dl_vars;
-  List.iter (fun (name, ty) -> add_typedef t name ty) d.dl_typedefs;
-  List.iter (fun (tag, fields) -> add_layout t tag fields) d.dl_layouts
 
 (** Rebuild an environment that went through [Marshal] (a cache
     snapshot): unmarshalled symbols keep their spelling but lose pointer
@@ -260,12 +163,6 @@ let rehydrate (t : t) : t =
         t.scopes;
     layouts;
     anon_counter = t.anon_counter;
-    reads_vars = 0;
-    reads_typedefs = 0;
-    reads_layouts = 0;
-    writes_vars = 0;
-    writes_typedefs = 0;
-    writes_layouts = 0;
   }
 
 (** A deterministic digest of the whole environment (scope structure,

@@ -40,39 +40,6 @@ val field_type : t -> string -> string -> Ctype.t
     Resolved through an interned-key index, so cost is independent of
     the struct's width. *)
 
-(** {1 Speculative-commit support}
-
-    The engine's intra-file fragment parallelism expands fragments
-    against snapshot-isolated copies of the environment and decides at
-    commit time whether the speculation was consistent.  These hooks
-    expose what it needs: read/write odometers per table kind, and a
-    diff/apply pair for the top scope. *)
-
-val reads : t -> int * int * int
-(** Monotonic lookup odometers [(vars, typedefs, layouts)] — callers
-    measure deltas across a fragment.  Never rolled back. *)
-
-val writes : t -> int * int * int
-(** Monotonic {e top-scope} write odometers [(vars, typedefs,
-    layouts)].  Writes into pushed (function-local) scopes are not
-    counted: they are popped before any fragment boundary. *)
-
-type top_delta
-(** What a fragment wrote into the top scope (and the layout table),
-    relative to the snapshot it started from. *)
-
-val diff_top : t -> base:t -> top_delta option
-(** [diff_top t ~base] — [base] must be the {!snapshot} [t] was
-    {!restore}d from; [None] when either side has scopes still open
-    (not at a fragment boundary). *)
-
-val delta_counts : top_delta -> int * int * int
-(** Entry counts [(vars, typedefs, layouts)] of a delta. *)
-
-val apply_top : t -> top_delta -> unit
-(** Replay a delta into [t]'s innermost scope, with the same replace
-    semantics as the original bindings. *)
-
 val rehydrate : t -> t
 (** Rebuild an environment that went through [Marshal] (a cache
     snapshot): re-interns every key (scopes, layouts, field indexes)

@@ -54,13 +54,6 @@ and env = {
           outside any invocation); shared by every {!derived}
           environment.  The template filler reads it to stamp the
           origin of every node it produces *)
-  greads : int ref;
-      (** monotonic odometer of lookups that resolved in the {e global}
-          scope (a [ref] so {!derived} environments share it): the
-          speculative fragment commit protocol measures its delta to
-          learn whether a fragment observed shared [metadcl] state.
-          Misses are not counted — an unbound name either errors or
-          falls through to a builtin, neither of which can go stale. *)
 }
 
 (** Mutable resource counters.  [fuel] and [nodes] count *down*;
@@ -129,7 +122,6 @@ let create_env ?gensym ?budget () : env =
             "macro invocations inside meta code need an expansion engine");
     budget = (match budget with Some b -> b | None -> create_budget ());
     provenance = ref Loc.User;
-    greads = ref 0;
   }
 
 let push_scope env = env.scopes <- Hashtbl.create 16 :: env.scopes
@@ -164,14 +156,6 @@ let bind_global env name v =
 let lookup_ref env name : t ref option =
   let rec go = function
     | [] -> None
-    | [ global ] -> (
-        match Hashtbl.find_opt global name with
-        | Some r ->
-            (* the last scope is the global one: a hit here is an
-               observation of shared state (see [greads]) *)
-            env.greads := !(env.greads) + 1;
-            Some r
-        | None -> None)
     | scope :: rest -> (
         match Hashtbl.find_opt scope name with
         | Some r -> Some r

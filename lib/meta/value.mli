@@ -37,11 +37,6 @@ and env = {
       (** the expansion frame currently being filled ([User] outside any
           invocation); shared by derived environments, maintained by the
           engine, read by the template filler *)
-  greads : int ref;
-      (** monotonic odometer of lookups resolving in the global scope
-          (shared by derived environments): the speculative fragment
-          commit protocol measures its delta to learn whether a fragment
-          observed shared [metadcl] state *)
 }
 
 (** Countdown resource counters ([max_int] = effectively unlimited). *)

@@ -21,8 +21,7 @@ let lock = Mutex.create ()
 let view : (string * trigger) list Atomic.t = Atomic.make []
 
 let sites =
-  [ "engine/fragment";  (* expand_source entry; in fragment-parallel
-                           mode, also each speculative fragment *)
+  [ "engine/fragment";  (* expand_source entry, once per file *)
     "engine/invoke";  (* macro invocation expansion *)
     "engine/register";  (* macro definition registration *)
     "interp/step";  (* every interpreted statement *)

@@ -25,9 +25,8 @@
     records, so a concurrent reader sees either the old or the new
     event, never a torn one) from any domain for anomaly dumps.
     Crucially, enabling the flight ring does {e not} make
-    {!recording} true: the engine keys cache bypasses, speculation
-    degradation and per-invocation spans off trace capture, and an
-    always-on flight ring must not trigger any of those.
+    {!recording} true: the engine keys per-invocation spans off trace
+    capture, and an always-on flight ring must not trigger them.
 
     {b Domain safety} (see DESIGN.md, "Domain-safety invariants").
     Three different strategies, one per sink, each picked for its
@@ -192,9 +191,8 @@ let rec_key : rec_state Domain.DLS.key =
 
 let rstate () = Domain.DLS.get rec_key
 
-(* [recording] deliberately reports only trace *capture*: engine-side
-   gates (cache bypass announcements, speculation degradation,
-   per-invocation spans) must not fire for an always-on flight ring. *)
+(* [recording] deliberately reports only trace *capture*: the engine's
+   per-invocation spans must not fire for an always-on flight ring. *)
 let recording () = (rstate ()).r_capture
 
 let start_recording () =

@@ -109,9 +109,9 @@ val with_trace : string option -> (unit -> 'a) -> 'a
     lock-free single-writer stores, memory is fixed at
     [capacity × one event] per domain, and nothing is rendered until
     an anomaly asks for a dump.  Enabling the flight ring does {e not}
-    make {!recording} true — the engine keys cache-bypass and
-    speculation-degradation decisions on {!recording}, and the flight
-    recorder must never change expansion behavior.  Consequently the
+    make {!recording} true — the engine keys its per-invocation spans
+    on {!recording}, and the flight recorder must never change what
+    the engine records.  Consequently the
     ring sees the coarse structural spans (lex, parse, fragments,
     cache, serve) but not the per-invocation spans the capture
     recorder adds. *)

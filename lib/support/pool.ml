@@ -135,7 +135,7 @@ let map ~(jobs : int) ?(stop : ('r -> bool) option) (n : int)
   in
   (* The calling domain is worker 0; [jobs - 1] domains are spawned.
      Each spawned domain inherits the caller's trace context so events
-     recorded on a speculation worker join the request's trace id. *)
+     recorded on a worker domain join the caller's trace id. *)
   let trace = Obs.current_trace () in
   let spawned =
     Array.init

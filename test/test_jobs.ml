@@ -1,6 +1,8 @@
 (** CLI goldens for the parallel driver: [--jobs] exit codes (0 clean,
     3 degraded, 1 fatal, 124 usage), deterministic input-order
-    diagnostics and output, and the [--no-cache] ablation. *)
+    diagnostics and output, the [--no-cache] ablation, the [--trace]
+    fallback to the sequential pipeline, and the inert deprecated
+    [--fragment-jobs] flag. *)
 
 let ms2c =
   if Sys.file_exists "../bin/ms2c.exe" then "../bin/ms2c.exe"
@@ -224,6 +226,65 @@ let stats_report_cache_counters () =
          in
          contains ~sub:"cache hits: 0" err'))
 
+(* ------------------------------------------------------------------ *)
+(* Degrade and deprecated flags                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [--trace] keeps the shared-session sequential pipeline at any
+   [--jobs]: a macro defined in the first file still expands in the
+   second, which independent per-file engines cannot do. *)
+let trace_falls_back_sequential () =
+  let def =
+    write_fixture "def"
+      "syntax exp TWICE {| ( $$exp::e ) |} { return `($e + $e); }\n\
+       int f(int x) { return TWICE(x * 3); }\n"
+  in
+  let use = write_fixture "use" "int g(int y) { return TWICE(y * 5); }\n" in
+  with_files [ def; use ] (fun files ->
+      let args = String.concat " " files in
+      let c1, out1, err1 =
+        run_cli (Printf.sprintf "expand --jobs 1 --trace %s" args)
+      in
+      let c2, out2, err2 =
+        run_cli (Printf.sprintf "expand --jobs 2 --trace %s" args)
+      in
+      let cp, outp, _ = run_cli (Printf.sprintf "expand --jobs 2 %s" args) in
+      Alcotest.(check int) "--jobs 1 --trace exit" 0 c1;
+      Alcotest.(check int) "--jobs 2 --trace exit" 0 c2;
+      Alcotest.(check int) "--jobs 2 exit" 0 cp;
+      Alcotest.(check string) "trace output identical" out1 out2;
+      Alcotest.(check string) "trace log identical" err1 err2;
+      Alcotest.(check bool) "definition flowed into the second file" true
+        (contains ~sub:"y * 5 + y * 5" out2);
+      Alcotest.(check bool) "without --trace the files are independent"
+        false
+        (contains ~sub:"y * 5 + y * 5" outp))
+
+(* [expand --fragment-jobs] is accepted for old scripts but selects
+   nothing; [serve] no longer knows the flag. *)
+let fragment_jobs_is_inert () =
+  with_files [ good_file 1 ] (fun files ->
+      let f = List.hd files in
+      let c, plain, err = run_cli (Printf.sprintf "expand %s" f) in
+      Alcotest.(check int) "plain exit" 0 c;
+      Alcotest.(check string) "plain run is quiet" "" err;
+      List.iter
+        (fun n ->
+          let cn, out, errn =
+            run_cli (Printf.sprintf "expand --fragment-jobs %s %s" n f)
+          in
+          Alcotest.(check int) ("--fragment-jobs " ^ n ^ " exit") 0 cn;
+          Alcotest.(check string)
+            ("--fragment-jobs " ^ n ^ " output identical") plain out;
+          Alcotest.(check string)
+            ("--fragment-jobs " ^ n ^ " stderr is the warning alone")
+            "ms2c: option '--fragment-jobs': deprecated and ignored; every \
+             file expands sequentially\n"
+            errn)
+        [ "2"; "auto" ];
+      let cs, _, _ = run_cli "serve --fragment-jobs 2 < /dev/null" in
+      Alcotest.(check int) "serve --fragment-jobs is a usage error" 124 cs)
+
 let () =
   Alcotest.run "jobs"
     [
@@ -252,5 +313,15 @@ let () =
             no_cache_byte_identical;
           Alcotest.test_case "cache counters in --stats" `Quick
             stats_report_cache_counters;
+        ] );
+      ( "degrade",
+        [
+          Alcotest.test_case "--trace falls back sequential" `Quick
+            trace_falls_back_sequential;
+        ] );
+      ( "deprecated",
+        [
+          Alcotest.test_case "--fragment-jobs is inert" `Quick
+            fragment_jobs_is_inert;
         ] );
     ]

@@ -1,10 +1,7 @@
 (** Determinism and merged-telemetry properties of the shared-memory
     domain pool ([--jobs N --jobs-mode=domains], the default parallel
-    mode):
+    mode); corpus-wide byte-identity lives in [test_identity]:
 
-    - corpus-wide byte-identity: output, source maps and diagnostic
-      order from a domain pool match [--jobs 1] exactly, clean or
-      failing, with or without [--keep-going];
     - first-fatal semantics: without [--keep-going] a parallel run
       reports the {e first} fatal file in input order — the
       work-stealing pool must not report whichever fatal a worker
@@ -16,151 +13,7 @@
       cache store, so [--stats] reports merged hits, not per-worker
       zeros. *)
 
-let ms2c =
-  if Sys.file_exists "../bin/ms2c.exe" then "../bin/ms2c.exe"
-  else "_build/default/bin/ms2c.exe"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(** Run [ms2c args], returning (exit code, stdout, stderr). *)
-let run_cli args =
-  let out = Filename.temp_file "ms2c_mc" ".out" in
-  let err = Filename.temp_file "ms2c_mc" ".err" in
-  let code =
-    Sys.command (Printf.sprintf "%s %s > %s 2> %s" ms2c args out err)
-  in
-  let stdout = read_file out and stderr = read_file err in
-  Sys.remove out;
-  Sys.remove err;
-  (code, stdout, stderr)
-
-let write_fixture name text =
-  let path = Filename.temp_file ("ms2c_mc_" ^ name) ".mc" in
-  let oc = open_out_bin path in
-  output_string oc text;
-  close_out oc;
-  path
-
-let with_files files k =
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun f -> try Sys.remove f with _ -> ()) files)
-    (fun () -> k files)
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-(* Self-contained files exercising distinct pipeline layers: plain
-   macros, meta functions with interpreter work, generated macros. *)
-let macro_file i =
-  write_fixture
-    (Printf.sprintf "m%d" i)
-    (Printf.sprintf
-       "syntax exp DBL%d {| ( $$exp::e ) |} { return `($e + $e); }\n\
-        int f%d(int x) { return DBL%d(x * %d); }\n"
-       i i i (i + 1))
-
-let meta_file i =
-  write_fixture
-    (Printf.sprintf "t%d" i)
-    (Printf.sprintf
-       "@exp dbl%d(@exp e) { return `($e + $e); }\n\
-        syntax exp MID%d {| ( $$exp::e ) |} { return dbl%d(e); }\n\
-        int g%d(int y) { return MID%d(y - %d); }\n"
-       i i i i i (i + 1))
-
-let bad_file i =
-  write_fixture (Printf.sprintf "bad%d" i) (Printf.sprintf "int b%d( { ;\n" i)
-
-(* Run the same invocation at --jobs 1 and on a domain pool, asserting
-   exit code, stdout and stderr are byte-identical; returns the
-   sequential triple for additional checks. *)
-let check_identity ?(jobs = 4) ~what (flags : string) (files : string list) =
-  let args = String.concat " " files in
-  let c1, out1, err1 =
-    run_cli (Printf.sprintf "expand --jobs 1 %s %s" flags args)
-  in
-  let cn, outn, errn =
-    run_cli
-      (Printf.sprintf "expand --jobs %d --jobs-mode=domains %s %s" jobs flags
-         args)
-  in
-  Alcotest.(check int) (what ^ ": same exit code") c1 cn;
-  Alcotest.(check string) (what ^ ": byte-identical output") out1 outn;
-  Alcotest.(check string) (what ^ ": byte-identical diagnostics") err1 errn;
-  (c1, out1, err1)
-
-(* ------------------------------------------------------------------ *)
-(* Corpus-wide byte-identity                                           *)
-(* ------------------------------------------------------------------ *)
-
-let corpus_identity () =
-  let files =
-    List.concat_map (fun i -> [ macro_file i; meta_file i ]) [ 1; 2; 3; 4 ]
-  in
-  with_files files (fun files ->
-      let c, out, _ = check_identity ~what:"mixed corpus" "" files in
-      Alcotest.(check int) "clean corpus exits 0" 0 c;
-      Alcotest.(check bool) "expansion really happened" true
-        (contains ~sub:"x * 2 + x * 2" out || contains ~sub:"+" out))
-
-let repo_corpus_identity () =
-  (* every prelude-marked file of the golden corpus, in one run *)
-  let dir = "corpus" in
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".mc")
-    |> List.sort compare
-    |> List.filter_map (fun f ->
-           let path = Filename.concat dir f in
-           let text = read_file path in
-           let first =
-             match String.index_opt text '\n' with
-             | Some i -> String.sub text 0 i
-             | None -> text
-           in
-           (* non-hygienic prelude files expand under one flag set *)
-           if contains ~sub:"ms2: prelude" first
-              && not (contains ~sub:"hygienic" first)
-           then Some path
-           else None)
-  in
-  if List.length files < 2 then ()
-  else
-    ignore
-      (check_identity ~what:"golden corpus" "--prelude --keep-going" files)
-
-let sourcemap_identity () =
-  let files = [ macro_file 1; macro_file 2; meta_file 3 ] in
-  with_files files (fun files ->
-      let args = String.concat " " files in
-      let map1 = Filename.temp_file "ms2c_mc_map1" ".json" in
-      let mapn = Filename.temp_file "ms2c_mc_mapn" ".json" in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter (fun f -> try Sys.remove f with _ -> ()) [ map1; mapn ])
-        (fun () ->
-          let c1, out1, _ =
-            run_cli
-              (Printf.sprintf "expand --jobs 1 --sourcemap %s %s" map1 args)
-          in
-          let cn, outn, _ =
-            run_cli
-              (Printf.sprintf
-                 "expand --jobs 3 --jobs-mode=domains --sourcemap %s %s" mapn
-                 args)
-          in
-          Alcotest.(check int) "sequential exit" 0 c1;
-          Alcotest.(check int) "domains exit" 0 cn;
-          Alcotest.(check string) "output identical" out1 outn;
-          Alcotest.(check string) "source maps byte-identical"
-            (read_file map1) (read_file mapn)))
+open Pool_fixture
 
 (* ------------------------------------------------------------------ *)
 (* Failure determinism                                                 *)
@@ -299,13 +152,6 @@ let jobs_meta_in_metrics () =
 let () =
   Alcotest.run "multicore"
     [
-      ( "byte-identity",
-        [
-          Alcotest.test_case "mixed corpus" `Quick corpus_identity;
-          Alcotest.test_case "golden corpus (--prelude)" `Quick
-            repo_corpus_identity;
-          Alcotest.test_case "source maps" `Quick sourcemap_identity;
-        ] );
       ( "failure determinism",
         [
           Alcotest.test_case "first fatal in input order" `Quick
