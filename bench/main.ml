@@ -3,7 +3,8 @@
     Usage: [dune exec bench/main.exe] (everything), or with an argument:
     - [figures]  — regenerate the paper's Figures 1-3;
     - [time]     — Bechamel micro-benchmarks (one per experiment table);
-    - [sweep]    — scaling sweeps (enum size, macro nesting depth);
+    - [sweep]    — scaling sweeps (enum size, macro nesting depth,
+      macro count) and the distinct-identifier doubling ladder;
     - [penalty]  — the compile-time-penalty table (expansion vs. the
       parse of already-expanded code: the cost the paper says macros
       trade for zero runtime cost).
@@ -192,6 +193,47 @@ let t3_tests () =
             ~name:(Printf.sprintf "define: %3d macros" n)
             (Staged.stage (expand_run (Workloads.many_macros n))))
         macro_counts)
+
+(* The distinct-identifier ladder: the Bechamel sweeps above stop at 64
+   and re-run one input, so their identifiers are interned after the
+   first run and growth in the number of distinct names never shows.
+   Each rung here expands a corpus of [n] myenum fragments (16 fresh
+   constants each), and every rung and repeat is tagged so that all of
+   its identifiers are new to this process.  Linear growth gives a
+   per-doubling time ratio near 2; a quadratic layer gives 4. *)
+let ladder_rungs = [ 500; 1000; 2000; 4000 ]
+let ladder_repeats = 3
+
+let time_rung n =
+  List.init ladder_repeats (fun r ->
+      let src =
+        Workloads.myenum_fragments ~tag:(Printf.sprintf "n%dr%d" n r) n
+      in
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      ignore (expand_run src ());
+      Unix.gettimeofday () -. t0)
+  |> List.fold_left min infinity
+
+let run_ladder () =
+  rule
+    (Printf.sprintf
+       "T3: distinct-identifier ladder (myenum fragments, best of %d)"
+       ladder_repeats);
+  (* one line per rung as it finishes, so a quadratic build still
+     shows its first ratios before a CI timeout cuts it off *)
+  ignore
+    (List.fold_left
+       (fun prev n ->
+         let t = time_rung n in
+         Fmt.pr "  expand: %4d fresh myenum fragments %a@." n pp_time
+           (t *. 1e9);
+         Option.iter
+           (fun (n0, t0) ->
+             Fmt.pr "  doubling ratio %4d -> %4d: %.2f@." n0 n (t /. t0))
+           prev;
+         Some (n, t))
+       None ladder_rungs)
 
 (* ------------------------------------------------------------------ *)
 (* Penalty: expansion vs parsing the pre-expanded code                 *)
@@ -1175,7 +1217,8 @@ let run_time () =
     (measure_tests (ablation_tests ()))
 
 let run_sweep () =
-  print_estimates "T3: scaling sweeps" (measure_tests (t3_tests ()))
+  print_estimates "T3: scaling sweeps" (measure_tests (t3_tests ()));
+  run_ladder ()
 
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in

@@ -61,6 +61,23 @@ let myenum n =
   let ids = List.init n (fun i -> Printf.sprintf "item_%d" i) in
   myenum_defs ^ "myenum workload {" ^ String.concat ", " ids ^ "};\n"
 
+(** [myenum_fragments ~tag n] is the [myenum] definition followed by [n]
+    16-constant [myenum] declarations: the large-corpus shape whose cost
+    is dominated by distinct identifiers.  Every enum and constant name
+    carries [tag], so corpora with different tags share no identifier. *)
+let myenum_fragments ~tag n =
+  let b = Buffer.create (n * 200) in
+  Buffer.add_string b myenum_defs;
+  for i = 0 to n - 1 do
+    Buffer.add_string b (Printf.sprintf "myenum e%s_%d {" tag i);
+    for k = 0 to 15 do
+      if k > 0 then Buffer.add_char b ',';
+      Buffer.add_string b (Printf.sprintf " c%s_%d_%d" tag i k)
+    done;
+    Buffer.add_string b " };\n"
+  done;
+  Buffer.contents b
+
 let exceptions_defs =
   "syntax stmt throw {| $$exp::value |} {\n\
    if (simple_expression(value))\n\

@@ -1460,7 +1460,8 @@ let load_store (cache : cached_run Cache.t) (path : string) : snapshot_load =
 (* ------------------------------------------------------------------ *)
 
 (** Publish the engine's point-in-time statistics into the {!Obs.Metrics}
-    registry (under [engine.*] and [cache.*]), so [--metrics] dumps and
+    registry (under [engine.*], [cache.*] and the process-wide
+    [intern.*] table gauges), so [--metrics] dumps and
     worker snapshots carry them alongside the hot-path counters the
     pipeline stages maintain themselves.  Uses absolute [set], so calling
     it repeatedly is idempotent per engine. *)
@@ -1479,6 +1480,8 @@ let publish_metrics (t : t) : unit =
   set "cache.bypass.failpoints" t.stats.cache_bypass_failpoints;
   set "cache.bypass.uncacheable" t.stats.cache_bypass_uncacheable;
   set "cache.bypass.budget" t.stats.cache_bypass_budget;
+  Obs.Metrics.gauge "intern.symbols" (float_of_int (Intern.interned ()));
+  Obs.Metrics.gauge "intern.bytes" (float_of_int (Intern.bytes ()));
   match t.cache with
   | None -> ()
   | Some cache ->

@@ -1,6 +1,7 @@
 (** Global string interning: one allocation and one hash per distinct
-    spelling, process-wide.  See the implementation notes in
-    [intern.ml]. *)
+    spelling, process-wide.  Lookups of known spellings take no lock;
+    a new spelling costs amortised O(1).  See the domain-safety argument
+    in [intern.ml]. *)
 
 type t = private {
   str : string;  (** canonical spelling, unique per contents *)
@@ -23,6 +24,9 @@ val hash : t -> int  (** cached; never re-reads the characters *)
 val compare : t -> t -> int  (** by allocation order *)
 
 val interned : unit -> int
-(** Distinct spellings interned so far. *)
+(** Distinct spellings interned so far; also the next [uid]. *)
+
+val bytes : unit -> int
+(** Total length in bytes of the interned spellings. *)
 
 module Tbl : Hashtbl.S with type key = t

@@ -314,6 +314,12 @@ let health_metrics_workers () =
         (Json.member metrics "schema" = Some (Json.Str "ms2-metrics-1"));
       Alcotest.(check int) "requests counted" 2
         (int_at metrics [ "counters"; "serve.requests.expand" ]);
+      (* the daemon's interner holds at least the identifiers it lexed *)
+      List.iter
+        (fun g ->
+          Alcotest.(check bool) (g ^ " gauge") true
+            (int_at metrics [ "gauges"; g ] > 0))
+        [ "intern.symbols"; "intern.bytes" ];
       (* per-method latency histogram: count matches, cumulative
          buckets are monotone and end at the total count *)
       let h_lat =
@@ -480,7 +486,12 @@ let prometheus_export () =
         (Option.value ~default:"<missing>"
            (Hashtbl.find_opt types "serve_latency_ms_expand"));
       Alcotest.(check bool) "request counter exported" true
-        (contains ~sub:"\nserve_requests_expand 3\n" ("\n" ^ text)))
+        (contains ~sub:"\nserve_requests_expand 3\n" ("\n" ^ text));
+      List.iter
+        (fun g ->
+          Alcotest.(check string) (g ^ " exported") "gauge"
+            (Option.value ~default:"<missing>" (Hashtbl.find_opt types g)))
+        [ "intern_symbols"; "intern_bytes" ])
 
 (* ------------------------------------------------------------------ *)
 (* SIGQUIT: operator-requested dump, daemon keeps serving              *)

@@ -330,6 +330,8 @@ let metrics_dump_schema () =
               "\"engine.macros_defined\": 2";
               "\"cache.misses\": 1";
               "\"fill.templates\": 2";
+              "\"intern.symbols\": ";
+              "\"intern.bytes\": ";
             ]))
 
 let stats_format_json () =

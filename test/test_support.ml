@@ -1,4 +1,5 @@
-(** Unit tests for the support library: locations, diagnostics. *)
+(** Unit tests for the support library: locations, diagnostics, the
+    string interner. *)
 
 open Ms2_support
 
@@ -175,6 +176,92 @@ let gensym_prefixes () =
   Ms2_support.Gensym.reset g;
   Alcotest.(check int) "reset" 0 (Ms2_support.Gensym.count g)
 
+(* Every spelling below carries a per-test tag, so each test sees only
+   spellings this process has never interned. *)
+let spellings tag n = Array.init n (Printf.sprintf "__intern_%s_%d" tag)
+
+(* A fresh allocation with the same contents. *)
+let copy s = Bytes.to_string (Bytes.of_string s)
+
+(* [syms]' uids are exactly [base .. base + length - 1], in some order. *)
+let check_dense_uids ~base syms =
+  let uids = Array.map (fun (sym : Intern.t) -> sym.uid) syms in
+  Array.sort Int.compare uids;
+  Array.iteri
+    (fun i uid ->
+      if uid <> base + i then
+        Alcotest.failf "uids not dense: position %d holds %d, expected %d" i
+          uid (base + i))
+    uids
+
+let intern_identity () =
+  let s = "__intern_identity" in
+  let c = copy s in
+  Alcotest.(check bool) "copy is a distinct allocation" false (s == c);
+  let a = Intern.intern s in
+  Alcotest.(check bool) "one symbol per spelling" true (a == Intern.intern c);
+  Alcotest.(check bool) "equal is physical" true (Intern.equal a (Intern.intern c));
+  Alcotest.(check bool) "canon is the shared string" true
+    (Intern.canon c == Intern.str a);
+  Alcotest.(check string) "spelling kept" s (Intern.str a);
+  Alcotest.(check int) "hash is cached" (Hashtbl.hash s) (Intern.hash a);
+  let b = Intern.intern "__intern_identity_later" in
+  Alcotest.(check bool) "compare follows allocation order" true
+    (Intern.compare a b < 0 && Intern.compare b a > 0);
+  Alcotest.(check int) "compare is reflexive" 0 (Intern.compare a a)
+
+let intern_across_grows () =
+  (* 6000 fresh spellings push the table past at least two doublings
+     of its 1024 initial buckets (it grows at 3/4 load) *)
+  let names = spellings "grow" 6000 in
+  let before = Intern.interned () and bytes_before = Intern.bytes () in
+  let syms = Array.map Intern.intern names in
+  Alcotest.(check int) "interned rises by the new spellings" 6000
+    (Intern.interned () - before);
+  Alcotest.(check int) "bytes rise by their lengths"
+    (Array.fold_left (fun acc s -> acc + String.length s) 0 names)
+    (Intern.bytes () - bytes_before);
+  check_dense_uids ~base:before syms;
+  Array.iteri
+    (fun i s ->
+      if not (Intern.intern (copy s) == syms.(i)) then
+        Alcotest.failf "%s lost after growing" s)
+    names;
+  Alcotest.(check int) "re-interning adds nothing" (before + 6000)
+    (Intern.interned ())
+
+let intern_two_domains () =
+  (* two domains intern the same fresh spellings in opposite orders:
+     they meet in the middle, racing on every insert and grow there *)
+  let n = 20_000 in
+  let names = spellings "race" n in
+  let before = Intern.interned () in
+  let ready = Atomic.make 0 in
+  let run order () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let out = Array.make n None in
+    for k = 0 to n - 1 do
+      let i = order k in
+      out.(i) <- Some (Intern.intern (copy names.(i)))
+    done;
+    Array.map Option.get out
+  in
+  let up = Domain.spawn (run Fun.id) in
+  let down = Domain.spawn (run (fun k -> n - 1 - k)) in
+  let a = Domain.join up and b = Domain.join down in
+  Array.iteri
+    (fun i sym ->
+      if not (sym == b.(i)) then
+        Alcotest.failf "domains disagree on %s" names.(i);
+      if not (String.equal (Intern.str sym) names.(i)) then
+        Alcotest.failf "wrong symbol for %s" names.(i))
+    a;
+  Alcotest.(check int) "one symbol per spelling" n (Intern.interned () - before);
+  check_dense_uids ~base:before a
+
 let () =
   Alcotest.run "support"
     [ ( "support",
@@ -187,4 +274,9 @@ let () =
           Tutil.tc "phase names" diag_phases;
           Tutil.tc "diagnostics raise and render" diag_raise_and_protect;
           Tutil.tc "protect is selective" protect_is_selective;
-          Tutil.tc "gensym prefixes" gensym_prefixes ] ) ]
+          Tutil.tc "gensym prefixes" gensym_prefixes ] );
+      ( "intern",
+        [ Tutil.tc "one symbol per spelling" intern_identity;
+          Tutil.tc "symbols survive table growth" intern_across_grows;
+          Tutil.tc "two domains agree on every symbol" intern_two_domains ] )
+    ]
